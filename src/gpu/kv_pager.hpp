@@ -16,18 +16,22 @@
 // eviction cheap): preempt() returns every page to the pool but keeps the
 // sequence entry alive at zero tokens; the engine re-runs prefill on resume
 // (recompute), so no KV bytes ever move.
+//
+// The engine touches the pager once or more per decoded token, so every
+// per-sequence operation is O(1) and allocation-free once warm: sequences
+// live in a generation-checked slot vector and free pages in a bitmap
+// searched with find-first-set (DESIGN.md §14 has the layout).
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "util/units.hpp"
 
 namespace faaspart::gpu {
 
+/// Sequence handle: slot index in the low 32 bits, the slot's generation
+/// (>= 1) in the high 32. Never 0, so 0 can mean "no sequence".
 using KvSeqId = std::uint64_t;
 
 struct KvPagerConfig {
@@ -59,11 +63,13 @@ class KvPager {
 
   [[nodiscard]] const KvPagerConfig& config() const { return cfg_; }
   [[nodiscard]] int total_pages() const { return total_pages_; }
-  [[nodiscard]] int free_pages() const { return static_cast<int>(free_.size()); }
+  [[nodiscard]] int free_pages() const { return free_count_; }
   [[nodiscard]] int used_pages() const { return total_pages_ - free_pages(); }
   [[nodiscard]] util::Bytes page_bytes() const;
   [[nodiscard]] util::Bytes bytes_in_use() const;
-  [[nodiscard]] std::size_t live_sequences() const { return seqs_.size(); }
+  [[nodiscard]] std::size_t live_sequences() const {
+    return slots_.size() - free_slots_.size();
+  }
   [[nodiscard]] const KvPagerStats& stats() const { return stats_; }
 
   /// Pages needed to hold `tokens` context tokens (ceiling; 0 for 0).
@@ -80,7 +86,9 @@ class KvPager {
   /// of letting FCFS head-of-line blocking become a livelock.
   [[nodiscard]] bool can_ever_admit(int tokens) const;
 
-  [[nodiscard]] bool live(KvSeqId id) const;
+  /// False for ids never issued and for released ones, even after their
+  /// slot has been reused by a newer sequence.
+  [[nodiscard]] bool live(KvSeqId id) const { return find(id) != nullptr; }
   /// Logical context length; throws util::NotFoundError for dead ids.
   [[nodiscard]] int tokens_of(KvSeqId id) const;
   /// The sequence's page indices in allocation order.
@@ -89,7 +97,7 @@ class KvPager {
   [[nodiscard]] std::vector<KvSeqId> sequence_ids() const;
 
   /// Registers a sequence with no pages; grow() maps its context.
-  KvSeqId create(std::string tag);
+  KvSeqId create();
 
   /// Grows `id` to hold at least `tokens` total context tokens, taking the
   /// lowest-index free pages. All-or-nothing: on failure nothing is
@@ -108,21 +116,38 @@ class KvPager {
   int preempt(KvSeqId id);
 
  private:
-  struct Seq {
-    std::string tag;
+  struct Slot {
+    std::uint32_t generation = 1;  ///< bumped on release: stale ids miss
+    bool live = false;
     int tokens = 0;
-    std::vector<int> pages;
+    std::uint64_t serial = 0;  ///< creation order, for sequence_ids()
+    std::vector<int> pages;    ///< capacity kept across reuse of the slot
   };
 
-  Seq& seq_mut(KvSeqId id);
-  [[nodiscard]] const Seq& seq(KvSeqId id) const;
+  [[nodiscard]] const Slot* find(KvSeqId id) const {
+    const auto index = static_cast<std::uint32_t>(id);
+    if (index >= slots_.size()) return nullptr;
+    const Slot& s = slots_[index];
+    const bool match =
+        s.live && s.generation == static_cast<std::uint32_t>(id >> 32);
+    return match ? &s : nullptr;
+  }
+  [[nodiscard]] const Slot& slot(KvSeqId id) const;
+  Slot& slot_mut(KvSeqId id);
+  /// Takes the lowest-index free page; requires free_count_ > 0.
+  int take_lowest_free_page();
+  void free_page(int page);
 
   KvPagerConfig cfg_;
   int total_pages_ = 0;
   int watermark_pages_ = 0;
-  std::set<int> free_;            // lowest-index-first hand-out
-  std::map<KvSeqId, Seq> seqs_;   // ordered: deterministic iteration
-  KvSeqId next_id_ = 1;
+  /// Bit p % 64 of word p / 64 is set while page p is free.
+  std::vector<std::uint64_t> free_words_;
+  int free_count_ = 0;
+  /// No word below this one has a free page.
+  std::size_t first_free_word_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;  // released slots, reused LIFO
   KvPagerStats stats_;
 };
 

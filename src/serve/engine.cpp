@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace faaspart::serve {
 
@@ -86,7 +85,7 @@ bool ServingEngine::adopt_prefilled(ServedRequestPtr& r) {
   const int context = r->context_tokens();
   if (stop_requested_ || loop_exited_ || !can_adopt(context)) return false;
   auto seq = std::make_unique<Seq>();
-  seq->kv = pager_.create(util::strf("req-", r->req.id));
+  seq->kv = pager_.create();
   // can_adopt() held under the watermark, which grow() does not even need.
   FP_CHECK(pager_.grow(seq->kv, context));
   seq->position = context;
@@ -140,12 +139,12 @@ sim::Co<void> ServingEngine::run_loop() {
 
 sim::Co<void> ServingEngine::step() {
   int iteration_tokens = 0;
-  std::vector<Seq*> to_prefill = admit(iteration_tokens);
+  admit(iteration_tokens);
 
   // Inline prefill for newly admitted (or preempted-and-readmitted)
   // contexts. A device error fails the whole iteration: every batched
   // sequence is preempted and requeued or settled.
-  for (Seq* s : to_prefill) {
+  for (Seq* s : to_prefill_) {
     const int context = s->r->context_tokens();
     gpu::KernelDesc kernel =
         workloads::llama_prefill_kernel(cfg_.spec, cfg_.run, context);
@@ -164,19 +163,18 @@ sim::Co<void> ServingEngine::step() {
     ensure_decode_capacity();
   }
   if (!running_.empty()) {
-    std::vector<int> positions;
-    positions.reserve(running_.size());
+    positions_.clear();
     for (const SeqPtr& s : running_) {
       FP_CHECK_MSG(s->position >= s->r->context_tokens(),
                    "decode on an unprefilled sequence");
       FP_CHECK_MSG(pager_.live(s->kv) &&
                        pager_.tokens_of(s->kv) >= s->position + 1,
                    "decode on evicted KV");
-      positions.push_back(s->position);
+      positions_.push_back(s->position);
       record(EngineEventKind::kDecode, s->r->req.id, s->position);
     }
     gpu::KernelDesc kernel =
-        workloads::llama_batched_decode_kernel(cfg_.spec, cfg_.run, positions);
+        workloads::llama_batched_decode_kernel(cfg_.spec, cfg_.run, positions_);
     try {
       co_await dev_.launch(ctx_, kernel);
     } catch (const std::exception&) {
@@ -212,8 +210,8 @@ sim::Co<void> ServingEngine::step() {
   touch_idle_gates();
 }
 
-std::vector<ServingEngine::Seq*> ServingEngine::admit(int& iteration_tokens) {
-  std::vector<Seq*> to_prefill;
+void ServingEngine::admit(int& iteration_tokens) {
+  to_prefill_.clear();
   // Every already-batched sequence decodes one token this iteration.
   int committed = static_cast<int>(running_.size());
   while (!waiting_.empty() &&
@@ -259,21 +257,18 @@ std::vector<ServingEngine::Seq*> ServingEngine::admit(int& iteration_tokens) {
     SeqPtr seq = std::move(waiting_.front());
     waiting_.pop_front();
     if (needs_prefill) {
-      if (seq->kv == 0) {
-        seq->kv = pager_.create(util::strf("req-", seq->r->req.id));
-      }
+      if (seq->kv == 0) seq->kv = pager_.create();
       // Reserve the context's pages NOW: the next waiter's watermark check
       // must see this admission as used pages, or a burst of co-arriving
       // contexts would all clear against the same free pool and overrun it
       // at prefill time.
       FP_CHECK(pager_.grow(seq->kv, context));
-      to_prefill.push_back(seq.get());
+      to_prefill_.push_back(seq.get());
     }
     ++stats_.admitted;
     record(EngineEventKind::kAdmit, seq->r->req.id, context);
     running_.push_back(std::move(seq));
   }
-  return to_prefill;
 }
 
 void ServingEngine::ensure_decode_capacity() {

@@ -172,9 +172,10 @@ class ServingEngine {
 
   sim::Co<void> run_loop();
   sim::Co<void> step();
-  /// Moves admissible waiting requests into the batch; returns the contexts
-  /// needing prefill this iteration and charges them to `iteration_tokens`.
-  std::vector<Seq*> admit(int& iteration_tokens);
+  /// Moves admissible waiting requests into the batch; fills `to_prefill_`
+  /// with the contexts needing prefill this iteration and charges them to
+  /// `iteration_tokens`.
+  void admit(int& iteration_tokens);
   /// Ensures every batched sequence can append one token, evicting LIFO
   /// victims under pressure.
   void ensure_decode_capacity();
@@ -196,6 +197,9 @@ class ServingEngine {
 
   std::deque<SeqPtr> waiting_;
   std::vector<SeqPtr> running_;  ///< the decode batch, admission order
+  // Per-iteration scratch, owned here so step() allocates nothing once warm.
+  std::vector<Seq*> to_prefill_;
+  std::vector<int> positions_;
 
   bool started_ = false;
   bool stop_requested_ = false;

@@ -1,6 +1,7 @@
 #include "workloads/llama.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -97,7 +98,7 @@ gpu::KernelDesc llama_batched_decode_kernel(const LlamaSpec& spec,
   FP_CHECK_MSG(!positions.empty(), "batched decode needs >= 1 sequence");
   const int batch = static_cast<int>(positions.size());
   gpu::KernelDesc k;
-  k.name = util::strf(spec.name, "/decode-b", batch);
+  k.name = spec.name + "/decode-b" + std::to_string(batch);
   // One fused step: GEMV degenerates to a (thin) GEMM once batch > 1.
   k.kind = batch > 1 ? gpu::KernelKind::kGemm : gpu::KernelKind::kGemv;
   k.flops = 2.0 * spec.params() / cfg.shards * batch;

@@ -7,76 +7,19 @@
 // will hand to someone else. Conservation breaks the instant preempt runs
 // (the tables map more pages than are accounted used) and isolation breaks
 // one allocation later (two live sequences share a page). Everything else —
-// lowest-index hand-out, all-or-nothing grow, release — mirrors
-// gpu::KvPager, so only the allocator invariants can tell the two apart.
+// lowest-index hand-out, all-or-nothing grow, release — is the reference
+// pager's own code (reference_pager.hpp), so only the allocator invariants
+// can tell the two apart.
 #pragma once
 
-#include <map>
-#include <set>
-#include <string>
-#include <utility>
-#include <vector>
-
 #include "gpu/kv_pager.hpp"
-#include "util/error.hpp"
+#include "prop/reference_pager.hpp"
 
 namespace faaspart::prop {
 
-class BrokenPreemptPager {
+class BrokenPreemptPager : public ReferenceKvPager {
  public:
-  explicit BrokenPreemptPager(gpu::KvPagerConfig cfg) : cfg_(cfg) {
-    const util::Bytes page =
-        static_cast<util::Bytes>(cfg_.page_tokens) * cfg_.bytes_per_token;
-    total_pages_ = static_cast<int>(cfg_.capacity / page);
-    for (int p = 0; p < total_pages_; ++p) free_.insert(p);
-  }
-
-  [[nodiscard]] int total_pages() const { return total_pages_; }
-  [[nodiscard]] int free_pages() const {
-    return static_cast<int>(free_.size());
-  }
-  [[nodiscard]] int used_pages() const { return total_pages_ - free_pages(); }
-
-  [[nodiscard]] int tokens_of(gpu::KvSeqId id) const { return seq(id).tokens; }
-  [[nodiscard]] const std::vector<int>& page_table(gpu::KvSeqId id) const {
-    return seq(id).pages;
-  }
-  [[nodiscard]] std::vector<gpu::KvSeqId> sequence_ids() const {
-    std::vector<gpu::KvSeqId> ids;
-    ids.reserve(seqs_.size());
-    for (const auto& [id, s] : seqs_) ids.push_back(id);
-    return ids;
-  }
-
-  gpu::KvSeqId create(std::string tag) {
-    const gpu::KvSeqId id = next_id_++;
-    seqs_.emplace(id, Seq{std::move(tag), 0, {}});
-    return id;
-  }
-
-  bool grow(gpu::KvSeqId id, int tokens) {
-    Seq& s = seq_mut(id);
-    const int target =
-        (tokens + cfg_.page_tokens - 1) / cfg_.page_tokens;
-    const int have = static_cast<int>(s.pages.size());
-    if (target > have) {
-      const int need = target - have;
-      if (need > free_pages()) return false;
-      for (int i = 0; i < need; ++i) {
-        const auto it = free_.begin();
-        s.pages.push_back(*it);
-        free_.erase(it);
-      }
-    }
-    s.tokens = tokens > s.tokens ? tokens : s.tokens;
-    return true;
-  }
-
-  void release(gpu::KvSeqId id) {
-    Seq& s = seq_mut(id);
-    for (const int p : s.pages) free_.insert(p);
-    seqs_.erase(id);
-  }
+  using ReferenceKvPager::ReferenceKvPager;
 
   int preempt(gpu::KvSeqId id) {
     Seq& s = seq_mut(id);
@@ -84,28 +27,9 @@ class BrokenPreemptPager {
     for (const int p : s.pages) free_.insert(p);
     // BUG: the page table survives the eviction — s.pages.clear() missing.
     s.tokens = 0;
+    ++stats_.preemptions;
     return freed;
   }
-
- private:
-  struct Seq {
-    std::string tag;
-    int tokens = 0;
-    std::vector<int> pages;
-  };
-
-  [[nodiscard]] const Seq& seq(gpu::KvSeqId id) const {
-    const auto it = seqs_.find(id);
-    FP_CHECK_MSG(it != seqs_.end(), "broken pager: unknown sequence");
-    return it->second;
-  }
-  Seq& seq_mut(gpu::KvSeqId id) { return const_cast<Seq&>(seq(id)); }
-
-  gpu::KvPagerConfig cfg_;
-  int total_pages_ = 0;
-  std::set<int> free_;
-  std::map<gpu::KvSeqId, Seq> seqs_;
-  gpu::KvSeqId next_id_ = 1;
 };
 
 }  // namespace faaspart::prop

@@ -115,7 +115,7 @@ std::string run_pager_ops(const scenario::Trace& trace, Pager& pager,
     const PagerOp& op = ops[i];
     switch (op.kind) {
       case PagerOp::kCreate: {
-        const gpu::KvSeqId id = pager.create(util::strf("seq-", i));
+        const gpu::KvSeqId id = pager.create();
         if (pager.grow(id, op.tokens)) {
           live.push_back(id);
         } else {

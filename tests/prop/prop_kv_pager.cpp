@@ -9,6 +9,9 @@
 //   * deterministic layout — replaying the same op sequence on a fresh
 //     pager reproduces the exact page tables (what makes engine replay
 //     byte-identical across --jobs shards).
+//   * reference equivalence — the slot-vector/bitmap pager and the plain
+//     map/set reference model (reference_pager.hpp) fed the same ops grant
+//     the same pages, agree on every grow, and keep the same counts.
 // The mutation check proves the suite's sensitivity: a pager whose
 // preempt() forgets to clear the page table (broken_pager.hpp) is caught
 // and shrunk to a tiny .fstrace counterexample.
@@ -25,6 +28,7 @@
 #include "gpu/kv_pager.hpp"
 #include "prop/broken_pager.hpp"
 #include "prop/pager_ops.hpp"
+#include "prop/reference_pager.hpp"
 #include "prop/registry.hpp"
 #include "prop/trace_gen.hpp"
 #include "util/strings.hpp"
@@ -68,7 +72,7 @@ std::string pager_realloc_roundtrip(const scenario::Trace& trace) {
       for (const int p : pager.page_table(other)) free_set.erase(p);
     }
 
-    const gpu::KvSeqId fresh = pager.create("realloc");
+    const gpu::KvSeqId fresh = pager.create();
     if (!pager.grow(fresh, tokens)) {
       return util::strf("realloc of ", tokens,
                         " tokens refused right after freeing them");
@@ -124,6 +128,107 @@ std::string pager_layout_deterministic(const scenario::Trace& trace) {
 const bool reg_deterministic = register_trace_property(
     "kv-pager-deterministic-layout", pager_layout_deterministic);
 
+// Both pagers replay the trace's ops in lockstep. Their ids differ, so live
+// sequences are paired by creation order: entry k of `live` holds the k-th
+// surviving sequence's id in each pager.
+std::string pager_matches_reference(const scenario::Trace& trace) {
+  gpu::KvPager real(pager_ops_config());
+  ReferenceKvPager ref(pager_ops_config());
+  struct Pair {
+    gpu::KvSeqId real = 0;
+    gpu::KvSeqId ref = 0;
+  };
+  std::vector<Pair> live;
+  const std::vector<PagerOp> ops = pager_ops_from(trace);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const PagerOp& op = ops[i];
+    std::string bad;
+    switch (op.kind) {
+      case PagerOp::kCreate: {
+        const Pair p{real.create(), ref.create()};
+        const bool admitted = real.grow(p.real, op.tokens);
+        if (admitted != ref.grow(p.ref, op.tokens)) {
+          bad = "create+grow admitted by only one pager";
+        } else if (admitted) {
+          live.push_back(p);
+        } else {
+          real.release(p.real);
+          ref.release(p.ref);
+        }
+        break;
+      }
+      case PagerOp::kGrow: {
+        if (live.empty()) break;
+        const Pair& p = live[op.pick % live.size()];
+        const int tokens = ref.tokens_of(p.ref) + op.tokens;
+        const bool a = real.grow(p.real, tokens);
+        const bool b = ref.grow(p.ref, tokens);
+        if (a != b) {
+          bad = util::strf("grow to ", tokens, " tokens: pager says ", a,
+                           ", reference says ", b);
+        }
+        break;
+      }
+      case PagerOp::kRelease: {
+        if (live.empty()) break;
+        const std::size_t at = op.pick % live.size();
+        real.release(live[at].real);
+        ref.release(live[at].ref);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+        break;
+      }
+      case PagerOp::kPreempt: {
+        if (live.empty()) break;
+        const Pair& p = live[op.pick % live.size()];
+        const int a = real.preempt(p.real);
+        const int b = ref.preempt(p.ref);
+        if (a != b) bad = util::strf("preempt freed ", a, " vs ", b, " pages");
+        break;
+      }
+    }
+    if (bad.empty() && (real.free_pages() != ref.free_pages() ||
+                        real.used_pages() != ref.used_pages())) {
+      bad = util::strf(real.free_pages(), "/", real.used_pages(),
+                       " free/used pages vs ", ref.free_pages(), "/",
+                       ref.used_pages());
+    }
+    if (bad.empty() && real.live_sequences() != ref.live_sequences()) {
+      bad = "live sequence counts differ";
+    }
+    if (bad.empty()) {
+      // sequence_ids() in creation order must line up pair by pair.
+      const auto ids_real = real.sequence_ids();
+      const auto ids_ref = ref.sequence_ids();
+      for (std::size_t k = 0; k < live.size() && bad.empty(); ++k) {
+        const Pair& p = live[k];
+        if (ids_real[k] != p.real || ids_ref[k] != p.ref) {
+          bad = util::strf("sequence_ids() out of creation order at ", k);
+        } else if (real.page_table(p.real) != ref.page_table(p.ref)) {
+          bad = util::strf("live sequence ", k, " maps different pages");
+        } else if (real.tokens_of(p.real) != ref.tokens_of(p.ref)) {
+          bad = util::strf("live sequence ", k, " holds ",
+                           real.tokens_of(p.real), " tokens vs ",
+                           ref.tokens_of(p.ref));
+        }
+      }
+    }
+    const gpu::KvPagerStats& a = real.stats();
+    const gpu::KvPagerStats& b = ref.stats();
+    if (bad.empty() &&
+        (a.sequences_created != b.sequences_created ||
+         a.pages_allocated != b.pages_allocated ||
+         a.preemptions != b.preemptions ||
+         a.grow_failures != b.grow_failures ||
+         a.peak_pages_in_use != b.peak_pages_in_use)) {
+      bad = "stats counters differ";
+    }
+    if (!bad.empty()) return util::strf("op ", i, ": ", bad);
+  }
+  return {};
+}
+const bool reg_reference = register_trace_property(
+    "kv-pager-matches-reference", pager_matches_reference);
+
 TEST(PropKvPager, IsolationAndConservationAfterEveryOp) {
   expect_property_holds("kv-pager-invariants");
 }
@@ -134,6 +239,10 @@ TEST(PropKvPager, ReleaseThenReallocRoundTrips) {
 
 TEST(PropKvPager, LayoutIsDeterministicForAFixedTrace) {
   expect_property_holds("kv-pager-deterministic-layout");
+}
+
+TEST(PropKvPager, MatchesTheReferencePagerOpForOp) {
+  expect_property_holds("kv-pager-matches-reference");
 }
 
 // ------------------------------------------------------------- mutation ---

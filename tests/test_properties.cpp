@@ -256,6 +256,11 @@ struct KernelShape {
   KernelDesc desc;
 };
 
+// gtest puts the printed parameter into each test's listed name. Without this
+// it dumps the struct's raw bytes, `name` pointer included, so the listed name
+// changed with every process's address-space layout.
+void PrintTo(const KernelShape& shape, std::ostream* os) { *os << shape.name; }
+
 class KernelMonotonicity : public ::testing::TestWithParam<KernelShape> {};
 
 TEST_P(KernelMonotonicity, LatencyNonIncreasingInGrant) {
