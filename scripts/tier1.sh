@@ -33,6 +33,13 @@ cmake --build build -j2 --target faaspart_lint
   --only src --only tools --only bench --only tests/prop \
   --emit-dot=build/include_graph.dot \
   --json=build/lint_findings.jsonl src tools bench tests/prop
+# The committed module graph (docs/include_graph.dot, DESIGN.md §15) must be
+# the one the analyzer renders from today's includes; regenerate it with the
+# command above and copy build/include_graph.dot over it.
+if ! diff -u docs/include_graph.dot build/include_graph.dot; then
+  echo "tier1: docs/include_graph.dot is stale; copy build/include_graph.dot over it" >&2
+  exit 1
+fi
 if command -v clang-tidy >/dev/null 2>&1; then
   clang-tidy -p build --quiet src/sim/*.cpp src/runner/*.cpp
 else

@@ -79,10 +79,10 @@ HighThroughputExecutor::HighThroughputExecutor(sim::Simulator& sim,
 
   if (!opts_.bindings.empty()) {
     // GPU executor: one worker per accelerator entry (Parsl's pinning).
-    for (auto& binding : opts_.bindings) (void)create_worker(binding);
+    for (auto& binding : opts_.bindings) create_worker(binding);
   } else {
     FP_CHECK_MSG(opts_.cpu_workers >= 1, "executor needs at least one worker");
-    for (int i = 0; i < opts_.cpu_workers; ++i) (void)create_worker(std::nullopt);
+    for (int i = 0; i < opts_.cpu_workers; ++i) create_worker(std::nullopt);
   }
 
   if (auto* tel = sim_.telemetry()) {
@@ -95,7 +95,7 @@ HighThroughputExecutor::HighThroughputExecutor(sim::Simulator& sim,
   }
 }
 
-std::size_t HighThroughputExecutor::create_worker(
+void HighThroughputExecutor::create_worker(
     std::optional<WorkerBinding> binding) {
   const std::size_t index = workers_.size();
   auto w = std::make_unique<Worker>();
@@ -108,37 +108,6 @@ std::size_t HighThroughputExecutor::create_worker(
   w->rng = seeder_.fork();
   if (rec_ != nullptr) w->lane = rec_->add_lane(w->name);
   workers_.push_back(std::move(w));
-  return index;
-}
-
-std::size_t HighThroughputExecutor::add_worker(
-    std::optional<WorkerBinding> binding) {
-  if (stopping_) throw util::StateError("executor is shutting down");
-  const std::size_t index = create_worker(std::move(binding));
-  if (started_) sim_.spawn(worker_main(index), workers_[index]->name);
-  return index;
-}
-
-sim::Future<> HighThroughputExecutor::retire_worker(std::size_t index) {
-  FP_CHECK_MSG(index < workers_.size(), "worker index out of range");
-  FP_CHECK_MSG(started_, "executor not started");
-  Worker& w = *workers_[index];
-  FP_CHECK_MSG(!w.retired, "worker already retired");
-  FP_CHECK_MSG(active_worker_count() > 1,
-               "cannot retire the executor's last worker");
-  w.retired = true;  // dispatcher drops this worker's stale idle tokens
-  sim::Promise<> ack(sim_);
-  Msg m;
-  m.kind = Msg::Kind::kStop;
-  m.ack = ack;
-  w.inbox->put(std::move(m));
-  return ack.future();
-}
-
-std::size_t HighThroughputExecutor::active_worker_count() const {
-  std::size_t n = 0;
-  for (const auto& w : workers_) n += w->retired ? 0 : 1;
-  return n;
 }
 
 HighThroughputExecutor::~HighThroughputExecutor() {
@@ -167,19 +136,15 @@ void HighThroughputExecutor::subscribe_faults() {
       faults::FaultKind::kWorkerCrash, opts_.label,
       [this](const faults::FaultEvent& ev) {
         // An explicit worker index wins; otherwise the event's salt picks
-        // uniformly among non-retired workers.
+        // uniformly among the workers.
         if (ev.index >= 0) {
           if (static_cast<std::size_t>(ev.index) < workers_.size()) {
             crash_worker_now(static_cast<std::size_t>(ev.index));
           }
           return;
         }
-        std::vector<std::size_t> eligible;
-        for (std::size_t i = 0; i < workers_.size(); ++i) {
-          if (!workers_[i]->retired) eligible.push_back(i);
-        }
-        if (eligible.empty()) return;
-        crash_worker_now(eligible[ev.salt % eligible.size()]);
+        if (workers_.empty()) return;
+        crash_worker_now(ev.salt % workers_.size());
       }));
   // Device-level faults kill every worker process bound to the device (a
   // reset destroys their contexts); MPS daemon death spares MIG-bound
@@ -218,7 +183,6 @@ void HighThroughputExecutor::subscribe_faults() {
 
 void HighThroughputExecutor::crash_worker_now(std::size_t index) {
   Worker& w = *workers_[index];
-  if (w.retired) return;
   ++crashes_injected_;
   ++w.crashes;
   if (auto* tel = sim_.telemetry()) {
@@ -281,9 +245,7 @@ sim::Co<void> HighThroughputExecutor::dispatcher_main() {
     } catch (const util::StateError&) {
       break;  // closed and drained — shutdown
     }
-    // Drop stale idle tokens of retired workers (scale-in).
-    std::size_t w = co_await idle_.get();
-    while (workers_[w]->retired) w = co_await idle_.get();
+    const std::size_t w = co_await idle_.get();
     Msg m;
     m.kind = Msg::Kind::kTask;
     m.task = std::move(task);
@@ -675,7 +637,6 @@ HighThroughputExecutor::WorkerInfo HighThroughputExecutor::worker_info(
   info.accelerator = w.binding.has_value() ? w.binding->accelerator : "";
   info.alive = w.alive;
   info.busy = w.busy;
-  info.retired = w.retired;
   info.restarts = w.restarts;
   info.crashes = w.crashes;
   info.tasks_done = w.tasks_done;
@@ -692,7 +653,6 @@ sim::Co<void> HighThroughputExecutor::shutdown() {
   central_.close();
   std::vector<sim::Future<>> acks;
   for (auto& w : workers_) {
-    if (w->retired) continue;  // already stopped by retire_worker()
     sim::Promise<> p(sim_);
     Msg m;
     m.kind = Msg::Kind::kStop;

@@ -1,9 +1,9 @@
 // ClusterService — the cluster-scale serving layer on top of ComputeService
 // (DESIGN.md §9).
 //
-// ComputeService routes each submit to an endpoint immediately; at cluster
-// load that just relocates the queue to whichever endpoint the policy hit.
-// ClusterService instead keeps a *service-side* queue:
+// Routing each request to an endpoint the moment it arrives would, at
+// cluster load, just relocate the queue to whichever endpoint the policy
+// hit. ClusterService instead keeps a *service-side* queue:
 //
 //   submit → admission control (token bucket, queue cap, deadline)
 //          → weighted fair queue across functions

@@ -14,9 +14,7 @@ Endpoint::Endpoint(sim::Simulator& sim, Options opts, trace::Recorder* rec)
       devices_(sim, rec),
       provider_(sim, opts_.cpu_cores),
       partitioner_(devices_),
-      dfk_(sim, faas::Config{.run_dir = "runinfo/" + opts_.name,
-                             .retries = opts_.dfk_retries,
-                             .executors = {}}),
+      dfk_(sim, faas::Config{.retries = opts_.dfk_retries, .executors = {}}),
       wan_gate_(sim, /*open=*/true) {
   FP_CHECK_MSG(!opts_.name.empty(), "endpoint needs a name");
   FP_CHECK_MSG(opts_.rtt.ns >= 0, "negative RTT");
@@ -92,7 +90,6 @@ void Endpoint::add_cpu_executor(const std::string& label, int workers) {
       sim_, provider_, std::move(ex_opts), nullptr, rec_);
   ex->start();
   dfk_.add_executor(std::move(ex));
-  executor_labels_.push_back(label);
   worker_slots_ += static_cast<std::size_t>(workers);
 }
 
@@ -102,7 +99,6 @@ void Endpoint::add_gpu_executor(const faas::HtexConfig& cfg,
   auto ex = partitioner_.build_executor(sim_, provider_, cfg, loader, rec_);
   gpu_executors_[cfg.label] = ex.get();
   dfk_.add_executor(std::move(ex));
-  executor_labels_.push_back(cfg.label);
   worker_slots_ += cfg.available_accelerators.empty()
                        ? static_cast<std::size_t>(cfg.max_workers)
                        : cfg.available_accelerators.size();
@@ -166,14 +162,6 @@ core::Reconfigurer& Endpoint::reconfigurer() {
     reconfigurer_ = std::make_unique<core::Reconfigurer>(devices_);
   }
   return *reconfigurer_;
-}
-
-std::size_t Endpoint::outstanding() const {
-  std::size_t n = 0;
-  for (const auto& label : executor_labels_) {
-    n += dfk_.executor(label).outstanding();
-  }
-  return n;
 }
 
 }  // namespace faaspart::federation

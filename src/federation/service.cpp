@@ -1,7 +1,5 @@
 #include "federation/service.hpp"
 
-#include <limits>
-
 #include "obs/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -114,8 +112,6 @@ faas::AppHandle ComputeService::dispatch(const faas::AppDef& app, Endpoint& ep,
                                          const std::string& executor_label,
                                          obs::TraceContext parent) {
   ++tasks_submitted_;
-  ++dispatch_counts_[ep.name()];
-  ++inflight_[ep.name()];
   if (auto* tel = sim_.telemetry()) {
     auto [it, inserted] = dispatch_counters_.try_emplace(ep.name(), nullptr);
     if (inserted) {
@@ -132,7 +128,6 @@ faas::AppHandle ComputeService::dispatch(const faas::AppDef& app, Endpoint& ep,
   sim::Promise<faas::AppValue> outer(sim_);
   auto future = outer.future();
   futures_.push_back(future);
-  future.on_ready([this, name = ep.name()] { --inflight_[name]; });
   sim_.spawn(wan_task(&sim_, &ep, app, executor_label, std::move(outer), record,
                       parent),
              "wan-task@" + ep.name());
@@ -147,63 +142,8 @@ faas::AppHandle ComputeService::submit(const std::string& function_id,
                   executor_label, parent);
 }
 
-faas::AppHandle ComputeService::submit_routed(const std::string& function_id,
-                                              const std::string& executor_label,
-                                              RoutingPolicy policy) {
-  FP_CHECK_MSG(!endpoints_.empty(), "no endpoints registered");
-  Endpoint* chosen = nullptr;
-  switch (policy) {
-    case RoutingPolicy::kRoundRobin: {
-      // Skip partitioned endpoints (their queues only grow while the link is
-      // down); when everything is unreachable fall through to the natural
-      // pick — dispatch legs wait on the gate anyway.
-      for (std::size_t hop = 0; hop < endpoints_.size(); ++hop) {
-        auto it = endpoints_.begin();
-        std::advance(it, round_robin_next_ % endpoints_.size());
-        ++round_robin_next_;
-        chosen = it->second.get();
-        if (chosen->reachable() || hop + 1 == endpoints_.size()) break;
-      }
-      break;
-    }
-    case RoutingPolicy::kLeastLoaded: {
-      // Normalize by worker count so a 4-worker site and a 1-worker edge box
-      // compare by per-worker backlog, and count service-side in-flight
-      // tasks that have not reached the endpoint yet. Reachable endpoints
-      // always beat partitioned ones; equal scores break to the
-      // lexicographically smallest endpoint name, explicitly — the pick must
-      // not lean on container iteration order (pinned by test_federation's
-      // tie-break regression).
-      double best = std::numeric_limits<double>::max();
-      bool best_reachable = false;
-      for (auto& [name, ep] : endpoints_) {
-        const auto it = inflight_.find(name);
-        const std::size_t wan = it != inflight_.end() ? it->second : 0;
-        const double load = static_cast<double>(std::max(ep->outstanding(), wan));
-        const double workers =
-            static_cast<double>(std::max<std::size_t>(1, ep->worker_slots()));
-        const double score = load / workers;
-        const bool up = ep->reachable();
-        const bool better =
-            (up && !best_reachable) ||
-            (up == best_reachable &&
-             (score < best ||
-              (score == best && chosen != nullptr && name < chosen->name())));
-        if (better) {
-          best = score;
-          best_reachable = up;
-          chosen = ep.get();
-        }
-      }
-      break;
-    }
-  }
-  FP_CHECK(chosen != nullptr);
-  return dispatch(function(function_id), *chosen, executor_label);
-}
-
 sim::Co<void> ComputeService::shutdown() {
-  // Settle service-routed tasks first — a WAN dispatch leg may not have
+  // Settle submitted tasks first — a WAN dispatch leg may not have
   // reached its endpoint executor yet. New submissions during the wait are
   // covered by re-checking the (growing) list.
   std::size_t settled = 0;

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "faults/faults.hpp"
-#include "federation/service.hpp"
+#include "federation/cluster.hpp"
 #include "util/error.hpp"
 #include "workloads/llama.hpp"
 
@@ -14,7 +14,9 @@ namespace {
 
 using namespace util::literals;
 
-struct FederationFixture : ::testing::Test {
+// One federation: a ComputeService, its endpoints, and the ClusterService
+// routing helpers the tests drive it with.
+struct Federation {
   sim::Simulator sim;
   ComputeService service{sim};
 
@@ -45,7 +47,34 @@ struct FederationFixture : ::testing::Test {
     };
     return app;
   }
+
+  /// Routes `n` back-to-back submits through a ClusterService under
+  /// `policy`, then drains and shuts the federation down.
+  void route(ClusterPolicy policy, const std::string& fn, int n) {
+    ClusterOptions opts;
+    opts.policy = policy;
+    ClusterService cluster(sim, service, opts);
+    for (int i = 0; i < n; ++i) (void)cluster.submit(fn, "gpu");
+    sim.spawn(cluster.shutdown(), "drain");
+    sim.run();
+  }
+
+  /// Requests the endpoint ran: one DFK record per dispatched request.
+  std::size_t served(const std::string& name) {
+    return service.endpoint(name).dfk().tasks_submitted();
+  }
 };
+
+struct FederationFixture : ::testing::Test, Federation {};
+
+// Requests each endpoint ran, by endpoint name.
+std::map<std::string, std::size_t> served_counts(ComputeService& service) {
+  std::map<std::string, std::size_t> out;
+  for (const auto& name : service.endpoint_names()) {
+    out[name] = service.endpoint(name).dfk().tasks_submitted();
+  }
+  return out;
+}
 
 TEST_F(FederationFixture, RegistrationAndLookup) {
   make_endpoint("hpc-site", 2, 40_ms);
@@ -92,30 +121,9 @@ TEST_F(FederationFixture, RoundRobinAlternates) {
   make_endpoint("a", 1, 1_ms);
   make_endpoint("b", 1, 1_ms);
   const auto fn = service.register_function(quick_app());
-  for (int i = 0; i < 6; ++i) {
-    (void)service.submit_routed(fn, "gpu", RoutingPolicy::kRoundRobin);
-  }
-  sim.run();
-  const auto counts = service.dispatch_counts();
-  EXPECT_EQ(counts.at("a"), 3u);
-  EXPECT_EQ(counts.at("b"), 3u);
-}
-
-TEST_F(FederationFixture, LeastLoadedPrefersIdleEndpoint) {
-  make_endpoint("busy", 1, 1_ms);
-  make_endpoint("idle", 1, 1_ms);
-  const auto fn = service.register_function(quick_app(30_s));
-  // Pre-load "busy" directly and let the dispatch legs land.
-  for (int i = 0; i < 4; ++i) (void)service.submit(fn, "busy", "gpu");
-  sim.run_until(sim.now() + 2_s);
-  // Routed submissions now see the imbalance and pick the idle endpoint.
-  for (int i = 0; i < 3; ++i) {
-    (void)service.submit_routed(fn, "gpu", RoutingPolicy::kLeastLoaded);
-  }
-  sim.run();
-  const auto counts = service.dispatch_counts();
-  EXPECT_EQ(counts.at("busy"), 4u);
-  EXPECT_EQ(counts.at("idle"), 3u);
+  route(ClusterPolicy::kRoundRobin, fn, 6);
+  EXPECT_EQ(served("a"), 3u);
+  EXPECT_EQ(served("b"), 3u);
 }
 
 TEST_F(FederationFixture, HeterogeneousEndpointsServeTheSameFunction) {
@@ -125,7 +133,7 @@ TEST_F(FederationFixture, HeterogeneousEndpointsServeTheSameFunction) {
       "chat", workloads::llama2_7b(), workloads::serving_config(), {16, 4}));
   std::vector<faas::AppHandle> hs;
   for (int i = 0; i < 6; ++i) {
-    hs.push_back(service.submit_routed(fn, "gpu", RoutingPolicy::kRoundRobin));
+    hs.push_back(service.submit(fn, i % 2 == 0 ? "big" : "small", "gpu"));
   }
   sim.spawn(service.shutdown());
   sim.run();
@@ -172,43 +180,37 @@ TEST_F(FederationFixture, LeastLoadedTieBreakPicksLowestName) {
   make_endpoint("b", 1, 1_ms);
   make_endpoint("a", 1, 1_ms);
   const auto fn = service.register_function(quick_app(10_s));
-  for (int i = 0; i < 3; ++i) {
-    (void)service.submit_routed(fn, "gpu", RoutingPolicy::kLeastLoaded);
-  }
-  sim.run();
-  const auto counts = service.dispatch_counts();
+  route(ClusterPolicy::kLeastLoaded, fn, 3);
   // Ties at (0,0) and (1,1) both go to "a"; the middle submit sees "a"
   // loaded and picks "b".
-  EXPECT_EQ(counts.at("a"), 2u);
-  EXPECT_EQ(counts.at("b"), 1u);
+  EXPECT_EQ(served("a"), 2u);
+  EXPECT_EQ(served("b"), 1u);
 }
 
 // Chaos property: routed dispatch never selects a WAN-partitioned endpoint
 // while reachable ones exist — under either policy.
 TEST_F(FederationFixture, RoutedDispatchAvoidsPartitionedEndpoint) {
-  make_endpoint("near", 1, 1_ms);
-  Endpoint& cut = make_endpoint("wan-cut", 1, 1_ms);
-  const auto fn = service.register_function(quick_app(1_s));
-  cut.partition_for(60_s);
-  for (int i = 0; i < 6; ++i) {
-    (void)service.submit_routed(fn, "gpu", RoutingPolicy::kLeastLoaded);
+  for (const auto policy :
+       {ClusterPolicy::kLeastLoaded, ClusterPolicy::kRoundRobin}) {
+    Federation fed;
+    fed.make_endpoint("near", 1, 1_ms);
+    Endpoint& cut = fed.make_endpoint("wan-cut", 1, 1_ms);
+    const auto fn = fed.service.register_function(fed.quick_app(1_s));
+    cut.partition_for(60_s);
+    fed.route(policy, fn, 6);
+    EXPECT_EQ(fed.served("near"), 6u) << to_string(policy);
+    EXPECT_EQ(fed.served("wan-cut"), 0u) << to_string(policy);
+    EXPECT_EQ(cut.wan_partitions(), 1u);
   }
-  for (int i = 0; i < 4; ++i) {
-    (void)service.submit_routed(fn, "gpu", RoutingPolicy::kRoundRobin);
-  }
-  sim.run();
-  const auto counts = service.dispatch_counts();
-  EXPECT_EQ(counts.at("near"), 10u);
-  EXPECT_EQ(counts.find("wan-cut"), counts.end());
-  EXPECT_EQ(cut.wan_partitions(), 1u);
 }
 
-sim::Co<void> routed_arrivals(sim::Simulator* sim, ComputeService* service,
+sim::Co<void> routed_arrivals(sim::Simulator* sim, ClusterService* cluster,
                               std::string fn, int n, util::Duration gap) {
   for (int i = 0; i < n; ++i) {
-    (void)service->submit_routed(fn, "gpu", RoutingPolicy::kLeastLoaded);
+    (void)cluster->submit(fn, "gpu");
     co_await sim->delay(gap);
   }
+  co_await cluster->shutdown();
 }
 
 std::map<std::string, std::size_t> counts_under_plan(std::uint64_t seed) {
@@ -242,9 +244,12 @@ std::map<std::string, std::size_t> counts_under_plan(std::uint64_t seed) {
     co_return faas::AppValue{1.0};
   };
   const auto fn = service.register_function(std::move(app));
-  sim.spawn(routed_arrivals(&sim, &service, fn, 30, 500_ms), "arrivals");
+  ClusterOptions least_loaded;
+  least_loaded.policy = ClusterPolicy::kLeastLoaded;
+  ClusterService cluster(sim, service, least_loaded);
+  sim.spawn(routed_arrivals(&sim, &cluster, fn, 30, 500_ms), "arrivals");
   sim.run();
-  return service.dispatch_counts();
+  return served_counts(service);
 }
 
 // Chaos property: with the same seed and the same FaultPlan, routing
@@ -288,11 +293,12 @@ TEST(FederationChaos, CrashStormEveryRoutedFutureSettles) {
     co_return faas::AppValue{1.0};
   };
   const auto fn = service.register_function(std::move(app));
+  ClusterOptions least_loaded;
+  least_loaded.policy = ClusterPolicy::kLeastLoaded;
+  ClusterService cluster(sim, service, least_loaded);
   std::vector<faas::AppHandle> handles;
-  for (int i = 0; i < 20; ++i) {
-    handles.push_back(
-        service.submit_routed(fn, "gpu", RoutingPolicy::kLeastLoaded));
-  }
+  for (int i = 0; i < 20; ++i) handles.push_back(cluster.submit(fn, "gpu"));
+  sim.spawn(cluster.shutdown(), "drain");
   sim.run();
   EXPECT_GT(injector.stats().injected_total(), 0u);
   for (const auto& h : handles) {

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "faas/monitoring.hpp"
 #include "federation/cluster.hpp"
 #include "trace/stats.hpp"
 #include "util/error.hpp"
@@ -129,6 +128,11 @@ struct ClusterFixture : ::testing::Test {
     };
     return service.register_function(std::move(app));
   }
+
+  /// Requests the endpoint ran: one DFK record per dispatched request.
+  std::size_t served(const std::string& name) {
+    return service.endpoint(name).dfk().tasks_submitted();
+  }
 };
 
 TEST_F(ClusterFixture, RateLimitShedsWithShedErrorAndCountsReason) {
@@ -241,9 +245,8 @@ TEST_F(ClusterFixture, PartitionedEndpointNeverChosenWhileAReachableOneExists) {
   sim.spawn(shutdown_after(&sim, &cluster, 5_s), "drain");
   sim.run();
 
-  const auto counts = service.dispatch_counts();
-  EXPECT_EQ(counts.at("a"), 10u);
-  EXPECT_EQ(counts.find("b"), counts.end());
+  EXPECT_EQ(served("a"), 10u);
+  EXPECT_EQ(served("b"), 0u);
 }
 
 TEST_F(ClusterFixture, RoundRobinSkipsPartitionedEndpoints) {
@@ -260,10 +263,9 @@ TEST_F(ClusterFixture, RoundRobinSkipsPartitionedEndpoints) {
   sim.spawn(shutdown_after(&sim, &cluster, 5_s), "drain");
   sim.run();
 
-  const auto counts = service.dispatch_counts();
-  EXPECT_EQ(counts.at("a"), 4u);
-  EXPECT_EQ(counts.at("c"), 4u);
-  EXPECT_EQ(counts.find("b"), counts.end());
+  EXPECT_EQ(served("a"), 4u);
+  EXPECT_EQ(served("c"), 4u);
+  EXPECT_EQ(served("b"), 0u);
 }
 
 // -- Admission edges ---------------------------------------------------------
@@ -339,10 +341,10 @@ TEST_F(ClusterFixture, ShedTotalsReconcileWithEndpointAppSummaries) {
   sim.spawn(shutdown_after(&sim, &cluster, 5_s), "drain");
   sim.run();
 
-  // The cluster's ledger and the endpoints' DFK-level monitoring describe
-  // the same world: every dispatched request is exactly one endpoint app
-  // submission, sheds never reach an endpoint, and nothing is lost between
-  // the two layers.
+  // The cluster's ledger and the endpoints' DFK records describe the same
+  // world: every dispatched request is exactly one endpoint app submission,
+  // sheds never reach an endpoint, and nothing is lost between the two
+  // layers.
   const auto& st = cluster.stats();
   EXPECT_EQ(st.submitted, 10u);
   EXPECT_EQ(st.shed_by_reason.at("rate-limit"), 10u - st.admitted);
@@ -350,11 +352,10 @@ TEST_F(ClusterFixture, ShedTotalsReconcileWithEndpointAppSummaries) {
 
   std::size_t ep_submitted = 0, ep_done = 0, ep_failed = 0;
   for (Endpoint* ep : {&a, &b}) {
-    const faas::Monitoring mon(ep->dfk(), nullptr, "unused");
-    for (const auto& s : mon.app_summaries()) {
-      ep_submitted += s.submitted;
-      ep_done += s.done;
-      ep_failed += s.failed;
+    for (const auto& r : ep->dfk().records()) {
+      ++ep_submitted;
+      ep_done += r->state == faas::TaskRecord::State::kDone;
+      ep_failed += r->state == faas::TaskRecord::State::kFailed;
     }
   }
   EXPECT_EQ(ep_submitted, st.dispatched);

@@ -6,7 +6,7 @@
 //   * a retried task's attempts hang off one causal root and are linked by
 //     flow events;
 //   * the sampler's busy integral agrees with the device's measured busy
-//     time within 1%;
+//     time within 1%, and a device series sees kernels still in flight;
 //   * telemetry never perturbs virtual time, and leaves no residue when off.
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 
 #include "faas/dfk.hpp"
 #include "faas/provider.hpp"
+#include "nvml/manager.hpp"
 #include "obs/chrome.hpp"
 #include "obs/dashboard.hpp"
 #include "obs/metrics.hpp"
@@ -404,6 +405,26 @@ TEST(ObsExperiment, SamplerBusyIntegralMatchesDeviceBusyWithin1Percent) {
   const double measured = r.gpu_busy.seconds();
   ASSERT_GT(measured, 0.0);
   EXPECT_NEAR(device_busy, measured, measured * 0.01);
+}
+
+TEST(ObsExperiment, DeviceSeriesSeesInFlightKernels) {
+  // The device probe reads the live busy integral, so a window inside one
+  // long kernel reads fully busy before the kernel completes (a recorder
+  // only sees finished spans).
+  sim::Simulator sim;
+  Telemetry tel(sim, {.sample_period = 1_s, .tracing = false});
+  nvml::DeviceManager mgr(sim);
+  gpu::Device& dev = mgr.device(mgr.add_device(gpu::arch::a100_80gb()));
+  const auto ctx = dev.create_context("t");
+  gpu::KernelDesc k{"long", gpu::KernelKind::kGemm, 10 * 19.5e12, 64 * util::MB,
+                    108, 0.5};  // ~10 s kernel
+  (void)dev.launch(ctx, std::move(k));
+  sim.run_until(util::TimePoint{} + 5_s);
+  const auto* series = tel.sampler().find(dev.name());
+  ASSERT_NE(series, nullptr);
+  ASSERT_EQ(series->samples.size(), 5u);
+  for (const auto& s : series->samples) EXPECT_NEAR(s.utilization, 1.0, 1e-6);
+  sim.run();
 }
 
 TEST(ObsExperiment, TelemetryNeverPerturbsVirtualTime) {

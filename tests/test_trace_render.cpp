@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "trace/chrometrace.hpp"
 #include "trace/csv.hpp"
 #include "trace/gantt.hpp"
 #include "trace/table.hpp"
@@ -113,6 +114,45 @@ TEST(Csv, CommaInModelNameRoundTrips) {
   CsvWriter w(os);
   w.row({"llama2,13b", "done"});
   EXPECT_EQ(os.str(), "\"llama2,13b\",done\n");
+}
+
+TEST(ChromeTrace, IsWellFormed) {
+  Recorder rec;
+  const auto lane = rec.add_lane("cpu/worker0");
+  for (int i = 0; i < 3; ++i) rec.record(lane, "traced", "task", at(i), at(i + 1));
+  std::ostringstream os;
+  write_chrome_trace(os, rec, "test-run");
+  const std::string json = os.str();
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("traced"), std::string::npos);
+  EXPECT_NE(json.find("test-run"), std::string::npos);
+  // Balanced braces/brackets (cheap well-formedness check).
+  int braces = 0;
+  int brackets = 0;
+  for (const char c : json) {
+    braces += (c == '{') - (c == '}');
+    brackets += (c == '[') - (c == ']');
+  }
+  EXPECT_EQ(braces, 0);
+  EXPECT_EQ(brackets, 0);
+}
+
+TEST(ChromeTrace, EscapesStrings) {
+  Recorder rec;
+  const auto lane = rec.add_lane("lane \"quoted\"\n");
+  rec.record(lane, "name\twith\ttabs", "cat\\slash", TimePoint{0},
+             TimePoint{1000});
+  std::ostringstream os;
+  write_chrome_trace(os, rec);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
+  EXPECT_NE(json.find("\\t"), std::string::npos);
+  EXPECT_NE(json.find("\\\\slash"), std::string::npos);
+  EXPECT_EQ(json.find('\n'), std::string::npos);
+  EXPECT_EQ(json.find('\t'), std::string::npos);
 }
 
 }  // namespace
